@@ -6,6 +6,7 @@
 // stopwatches in this benchmark.
 
 #include <cstdio>
+#include <string>
 
 #include "bench_util.h"
 #include "obs/trace.h"
@@ -71,6 +72,59 @@ void PrintJson(const char* config, const obs::SpanNode& trace,
       static_cast<unsigned long long>(replayed_records));
 }
 
+/// NVM open cost against delta size: a table whose two columns hold
+/// only distinct values (so every row adds two delta-dictionary
+/// entries), each column under an ordered index, crashed and reopened
+/// through the fast path. Open does no work proportional to the delta,
+/// so the curve should be flat.
+void OpenSweepPoint(uint64_t rows) {
+  const std::string dir = bench::MakeBenchDir("e5");
+  auto options = bench::EngineOptions(core::DurabilityMode::kNvm, dir,
+                                      size_t{512} << 20);
+  auto db = bench::Unwrap(core::Database::Create(options), "create");
+  auto schema = bench::Unwrap(
+      storage::Schema::Make({{"k", storage::DataType::kInt64},
+                             {"name", storage::DataType::kString}}),
+      "schema");
+  storage::Table* table = bench::Unwrap(db->CreateTable("t", schema), "t");
+  bench::Die(db->CreateOrderedIndex("t", 0), "index k");
+  bench::Die(db->CreateOrderedIndex("t", 1), "index name");
+  auto tx = bench::Unwrap(db->Begin(), "begin");
+  for (uint64_t r = 0; r < rows; ++r) {
+    const auto key = static_cast<int64_t>(r);
+    bench::Die(db->Insert(tx, table,
+                          {storage::Value(key),
+                           storage::Value("n" + std::to_string(key))})
+                   .status(),
+               "insert");
+    if ((r + 1) % 1024 == 0) {
+      bench::Die(db->Commit(tx), "commit");
+      tx = bench::Unwrap(db->Begin(), "begin");
+    }
+  }
+  bench::Die(db->Commit(tx), "commit");
+  const uint64_t entries = table->delta().column(0).dictionary().size() +
+                           table->delta().column(1).dictionary().size();
+  db = bench::Unwrap(core::Database::CrashAndRecover(std::move(db)),
+                     "recover");
+  const obs::SpanNode& trace = db->last_recovery_report().trace;
+  std::printf("  %8llu delta-dictionary entries: open %.3f ms "
+              "(attach_catalog %.3f, attach_index_sets %.3f)\n",
+              static_cast<unsigned long long>(entries), trace.seconds * 1e3,
+              Phase(trace, "attach_catalog") * 1e3,
+              Phase(trace, "attach_index_sets") * 1e3);
+  std::printf(
+      "BENCH_JSON {\"bench\":\"e5_open_sweep\",\"rows\":%llu,"
+      "\"dict_entries\":%llu,\"open_ms\":%.3f,"
+      "\"attach_catalog_ms\":%.3f,\"attach_index_sets_ms\":%.3f}\n",
+      static_cast<unsigned long long>(rows),
+      static_cast<unsigned long long>(entries), trace.seconds * 1e3,
+      Phase(trace, "attach_catalog") * 1e3,
+      Phase(trace, "attach_index_sets") * 1e3);
+  db.reset();
+  bench::RemoveBenchDir(dir);
+}
+
 }  // namespace
 
 int main() {
@@ -120,6 +174,13 @@ int main() {
                 report.trace.Render().c_str());
     PrintJson("nvm-instant-restart", report.trace, 0);
     bench::RemoveBenchDir(dir);
+  }
+
+  // Instant restart against delta size.
+  std::printf("\nhyrise-nv open vs delta-dictionary size (ordered "
+              "indexes on both columns):\n");
+  for (uint64_t sweep_rows : {25000, 100000, 400000}) {
+    OpenSweepPoint(bench::Scaled(sweep_rows));
   }
 
   std::printf("\npaper shape check: every log-recovery phase scales with "

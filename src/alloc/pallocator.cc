@@ -86,6 +86,12 @@ Status PAllocator::Recover() {
           region_.size() - obs::BlackboxBytesFor(region_.size())) {
     return Status::Corruption("allocator metadata out of range");
   }
+  {
+    // Frees still waiting for a grace period died with the crash: their
+    // blocks are allocated in the durable image and stay leaked.
+    std::lock_guard<std::mutex> guard(deferred_mutex_);
+    deferred_.clear();
+  }
   // Reclaim allocations whose publication never completed.
   auto* header = HeaderOf(region_);
   for (auto& intent : header->intents) {
@@ -284,6 +290,34 @@ Status PAllocator::Free(uint64_t payload_offset) {
   }
   FreeBlockLocked(block_off);
   return Status::OK();
+}
+
+void PAllocator::FreeDeferred(uint64_t payload_offset) {
+  const uint64_t tag = epochs_.RetireTag();
+  {
+    std::lock_guard<std::mutex> guard(deferred_mutex_);
+    deferred_.push_back(DeferredFree{payload_offset, tag});
+  }
+  ReclaimDeferred();
+}
+
+void PAllocator::ReclaimDeferred() {
+  std::vector<uint64_t> ready;
+  {
+    std::lock_guard<std::mutex> guard(deferred_mutex_);
+    size_t kept = 0;
+    for (const DeferredFree& d : deferred_) {
+      if (epochs_.Reclaimable(d.tag)) {
+        ready.push_back(d.offset);
+      } else {
+        deferred_[kept++] = d;
+      }
+    }
+    deferred_.resize(kept);
+  }
+  // Best-effort like the immediate free it replaces: a failure here can
+  // only leak the block.
+  for (uint64_t offset : ready) (void)Free(offset);
 }
 
 Result<uint64_t> PAllocator::AllocSize(uint64_t payload_offset) const {

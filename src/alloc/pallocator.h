@@ -3,7 +3,9 @@
 
 #include <cstdint>
 #include <mutex>
+#include <vector>
 
+#include "alloc/reader_epochs.h"
 #include "common/macros.h"
 #include "common/status.h"
 #include "nvm/pmem_region.h"
@@ -87,6 +89,19 @@ class PAllocator {
   /// Returns the block at `payload_offset` to its size-class free list.
   Status Free(uint64_t payload_offset);
 
+  /// Frees `payload_offset` once no lock-free reader can still hold it:
+  /// for a buffer a writer has just replaced (PVector growth, rehash).
+  /// The wait is volatile — a crash before the grace period ends leaks
+  /// the block. Also frees earlier deferred blocks that became safe.
+  void FreeDeferred(uint64_t payload_offset);
+
+  /// Frees every deferred block whose grace period has passed. With no
+  /// reader inside, that is all of them (Close, quiesced merge).
+  void ReclaimDeferred();
+
+  /// The epochs readers pin while they dereference replaceable buffers.
+  ReaderEpochs& reader_epochs() { return epochs_; }
+
   /// Payload size of the given allocation.
   Result<uint64_t> AllocSize(uint64_t payload_offset) const;
 
@@ -121,6 +136,14 @@ class PAllocator {
   nvm::PmemRegion& region_;
   std::mutex mutex_;
   uint64_t intent_busy_bitmap_ = 0;  // volatile; rebuilt empty on restart
+
+  struct DeferredFree {
+    uint64_t offset;
+    uint64_t tag;  // ReaderEpochs::RetireTag at retirement
+  };
+  ReaderEpochs epochs_;
+  std::mutex deferred_mutex_;
+  std::vector<DeferredFree> deferred_;  // guarded by deferred_mutex_
 };
 
 }  // namespace hyrise_nv::alloc

@@ -69,26 +69,24 @@ class PVector {
     return Status::OK();
   }
 
-  uint64_t size() const { return desc_->size; }
-  bool empty() const { return desc_->size == 0; }
+  /// Committed size. Acquire: elements below it are fully written.
+  uint64_t size() const {
+    return __atomic_load_n(&desc_->size, __ATOMIC_ACQUIRE);
+  }
+  bool empty() const { return size() == 0; }
   uint64_t capacity() const { return ActiveSlot().capacity; }
   nvm::PmemRegion* region() const { return region_; }
 
-  T* data() {
-    const auto& slot = ActiveSlot();
-    return slot.data == 0
-               ? nullptr
-               : reinterpret_cast<T*>(region_->base() + slot.data);
-  }
+  /// The active buffer. Lock-free readers may race a growth: they see
+  /// the old or the new buffer, both holding every committed element,
+  /// and the old one stays allocated until their ReaderEpochs guard ends.
+  T* data() { return reinterpret_cast<T*>(ActiveData()); }
   const T* data() const {
-    const auto& slot = ActiveSlot();
-    return slot.data == 0
-               ? nullptr
-               : reinterpret_cast<const T*>(region_->base() + slot.data);
+    return reinterpret_cast<const T*>(ActiveData());
   }
 
   const T& Get(uint64_t index) const {
-    HYRISE_NV_DCHECK(index < desc_->size, "PVector index out of range");
+    HYRISE_NV_DCHECK(index < size(), "PVector index out of range");
     return data()[index];
   }
 
@@ -131,12 +129,55 @@ class PVector {
   /// without the fence, the size line may persist before the element
   /// line, so the trailing entries are garbage until the caller's fence.
   Status AppendUnfenced(const T& value) {
+    HYRISE_NV_RETURN_NOT_OK(StageAppend(value));
+    CommitStaged(1);
+    return Status::OK();
+  }
+
+  /// Writes `value` just past the committed size and flushes it, without
+  /// fencing or bumping the size: the first step of a caller-ordered
+  /// append (write, Fence, CommitStaged, Fence). Readers ignore it until
+  /// the size covers it. `value` is a copy because a growth here may
+  /// move the buffer it was read from.
+  Status StageAppend(T value) {
     HYRISE_NV_RETURN_NOT_OK(EnsureCapacity(desc_->size + 1));
     T* slot = data() + desc_->size;
     *slot = value;
     region_->Flush(slot, sizeof(T));
-    __atomic_store_n(&desc_->size, desc_->size + 1, __ATOMIC_RELEASE);
+    return Status::OK();
+  }
+
+  /// Bumps the size over `count` staged elements (release store + flush,
+  /// no fence). The caller fences before anything that depends on it.
+  void CommitStaged(uint64_t count) {
+    __atomic_store_n(&desc_->size, desc_->size + count, __ATOMIC_RELEASE);
     region_->Flush(&desc_->size, sizeof(desc_->size));
+  }
+
+  /// BulkAppend without a fence: content and size are flushed, and the
+  /// caller's next fence makes both durable. Only for vectors whose tail
+  /// is referenced through another, fenced structure (the string blob,
+  /// referenced by dictionary values), so a size persisted ahead of its
+  /// bytes exposes nothing.
+  Status BulkAppendUnfenced(const T* values, uint64_t count) {
+    if (count == 0) return Status::OK();
+    HYRISE_NV_RETURN_NOT_OK(EnsureCapacity(desc_->size + count));
+    std::memcpy(data() + desc_->size, values, count * sizeof(T));
+    region_->Flush(data() + desc_->size, count * sizeof(T));
+    CommitStaged(count);
+    return Status::OK();
+  }
+
+  /// Replaces the whole content with `count` elements in a fresh buffer
+  /// of `capacity` (>= count), published by one slot flip: a concurrent
+  /// reader sees the old or the new content, never a mix, and the old
+  /// buffer is freed deferred. The size follows the flip, so a crash in
+  /// between leaves the new buffer with the old size (the owner
+  /// re-derives it after a crash).
+  Status Replace(const T* values, uint64_t count, uint64_t capacity) {
+    HYRISE_NV_DCHECK(count <= capacity, "replace beyond capacity");
+    HYRISE_NV_RETURN_NOT_OK(PublishBuffer(capacity, values, count));
+    region_->AtomicPersist64(&desc_->size, count);
     return Status::OK();
   }
 
@@ -165,6 +206,13 @@ class PVector {
   /// Pre-grows the buffer to hold at least `n` elements.
   Status Reserve(uint64_t n) { return EnsureCapacity(n); }
 
+  /// Sets the committed size to `n` (<= capacity) when recovery
+  /// re-derives it from the structure that owns the vector.
+  void RecoverSize(uint64_t n) {
+    HYRISE_NV_DCHECK(n <= capacity(), "size beyond capacity");
+    region_->AtomicPersist64(&desc_->size, n);
+  }
+
   /// Truncates the committed size (used by recovery rollback). Does not
   /// shrink the buffer.
   void TruncateTo(uint64_t n) {
@@ -174,7 +222,14 @@ class PVector {
 
  private:
   const PVectorDesc::Slot& ActiveSlot() const {
-    return desc_->slots[desc_->version & 1];
+    return desc_->slots[__atomic_load_n(&desc_->version, __ATOMIC_ACQUIRE) &
+                        1];
+  }
+
+  uint8_t* ActiveData() const {
+    const uint64_t off =
+        __atomic_load_n(&ActiveSlot().data, __ATOMIC_RELAXED);
+    return off == 0 ? nullptr : region_->base() + off;
   }
 
   Status EnsureCapacity(uint64_t needed) {
@@ -182,7 +237,12 @@ class PVector {
     if (needed <= active.capacity) return Status::OK();
     uint64_t new_cap = active.capacity == 0 ? 16 : active.capacity * 2;
     while (new_cap < needed) new_cap *= 2;
+    return PublishBuffer(new_cap, data(), desc_->size);
+  }
 
+  /// Copies `count` elements from `src` into a fresh buffer of `new_cap`
+  /// and makes it the active one.
+  Status PublishBuffer(uint64_t new_cap, const T* src, uint64_t count) {
     IntentHandle intent;
     auto alloc_result =
         alloc_->AllocWithIntent(new_cap * sizeof(T), &intent);
@@ -190,24 +250,25 @@ class PVector {
     const uint64_t new_data = alloc_result.ValueUnsafe();
 
     T* new_buf = reinterpret_cast<T*>(region_->base() + new_data);
-    const uint64_t old_data = active.data;
-    if (desc_->size > 0) {
-      std::memcpy(new_buf, region_->base() + old_data,
-                  desc_->size * sizeof(T));
-      region_->Persist(new_buf, desc_->size * sizeof(T));
+    const uint64_t old_data = ActiveSlot().data;
+    if (count > 0) {
+      std::memcpy(new_buf, src, count * sizeof(T));
+      region_->Persist(new_buf, count * sizeof(T));
     }
-    // Publish through the inactive slot, then flip the version. The flip
-    // is the single atomic commit point; it also makes the intent's block
-    // reachable, after which the intent can be retired.
+    // Publish through the inactive slot, then flip the version: the flip
+    // is the single atomic commit point. The intent is retired just
+    // before it — a crash in between leaks the new buffer, whereas
+    // retiring after the flip would let recovery free a published one.
     auto& inactive = desc_->slots[(desc_->version + 1) & 1];
-    inactive.data = new_data;
-    inactive.capacity = new_cap;
+    __atomic_store_n(&inactive.data, new_data, __ATOMIC_RELAXED);
+    __atomic_store_n(&inactive.capacity, new_cap, __ATOMIC_RELAXED);
     region_->Persist(&inactive, sizeof(inactive));
-    region_->AtomicPersist64(&desc_->version, desc_->version + 1);
     alloc_->CommitIntent(intent);
+    region_->AtomicPersist64(&desc_->version, desc_->version + 1);
     if (old_data != 0) {
-      // Best-effort: a crash exactly here leaks the old buffer.
-      (void)alloc_->Free(old_data);
+      // Lock-free readers may still hold the old buffer; a crash before
+      // the deferred free runs leaks it.
+      alloc_->FreeDeferred(old_data);
     }
     return Status::OK();
   }

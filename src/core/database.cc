@@ -597,6 +597,9 @@ Status Database::Delete(txn::Transaction& tx, storage::Table* table,
   if (!tx.active()) {
     return Status::InvalidArgument("transaction not active");
   }
+  // Claims mutate the MVCC vector, which a concurrent insert may be
+  // growing (copying) under this mutex.
+  std::lock_guard<std::mutex> write_guard(table->write_mutex());
   storage::MvccEntry* entry = table->mvcc(loc);
   if (!storage::IsVisible(*entry, tx.snapshot(), tx.tid())) {
     return Status::NotFound("row not visible to this transaction");
@@ -641,6 +644,9 @@ Status Database::InsertAutoCommit(storage::Table* table,
 Result<std::vector<storage::RowLocation>> Database::ScanEqual(
     storage::Table* table, size_t column, const storage::Value& value,
     storage::Cid snapshot, storage::Tid tid) const {
+  // Pins the reader epoch: no buffer this scan dereferences (dictionary,
+  // index entries, attribute and MVCC vectors) is freed under it.
+  alloc::ReaderEpochs::Guard epoch_guard(heap_->allocator().reader_epochs());
   const bool degraded =
       recovery_driver_ != nullptr && recovery_driver_->serving_degraded();
   std::unique_lock<std::mutex> degraded_guard;
@@ -699,6 +705,7 @@ Result<std::vector<storage::RowLocation>> Database::ScanRange(
     storage::Table* table, size_t column, const storage::Value& lo,
     const storage::Value& hi, storage::Cid snapshot,
     storage::Tid tid) const {
+  alloc::ReaderEpochs::Guard epoch_guard(heap_->allocator().reader_epochs());
   if (recovery_driver_ != nullptr && recovery_driver_->serving_degraded()) {
     HYRISE_NV_RETURN_NOT_OK(
         recovery_driver_->PrepareScanRange(table, column, lo, hi));
@@ -806,6 +813,9 @@ Status Database::Close() {
   if (log_manager_ != nullptr) {
     HYRISE_NV_RETURN_NOT_OK(log_manager_->SyncNow());
   }
+  // Buffers replaced under readers are still waiting for their grace
+  // period; with the readers gone they are freed before the image seals.
+  heap_->allocator().ReclaimDeferred();
   if (options_.mode == DurabilityMode::kNvm) {
     // Refresh the close-time checksums so the next open can deep-verify
     // mutable structures too (they are only authoritative after a clean

@@ -32,6 +32,7 @@ Result<std::vector<RowLocation>> ScanRange(Table* table, size_t column,
   if (column >= table->schema().num_columns()) {
     return Status::InvalidArgument("column out of range");
   }
+  alloc::ReaderEpochs::Guard guard(table->reader_epochs());
   if (CompareValues(lo, hi) > 0) {
     return std::vector<RowLocation>{};
   }
@@ -98,6 +99,7 @@ Result<T> SumColumn(Table* table, size_t column, Cid snapshot, Tid tid) {
   if (column >= table->schema().num_columns()) {
     return Status::InvalidArgument("column out of range");
   }
+  alloc::ReaderEpochs::Guard guard(table->reader_epochs());
   // Decode each distinct dictionary value once.
   const auto& main_col = table->main().column(column);
   std::vector<T> main_values(main_col.dictionary().size());

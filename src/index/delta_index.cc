@@ -6,21 +6,14 @@
 
 namespace hyrise_nv::index {
 
-uint64_t HashValue(const storage::Value& value, storage::DataType type) {
+namespace {
+
+uint64_t Fnv1aSplitmix(const void* data, size_t len) {
   uint64_t h = 0xCBF29CE484222325ull;  // FNV offset basis
-  auto mix_bytes = [&h](const void* data, size_t len) {
-    const auto* p = static_cast<const uint8_t*>(data);
-    for (size_t i = 0; i < len; ++i) {
-      h ^= p[i];
-      h *= 0x100000001B3ull;  // FNV prime
-    }
-  };
-  if (type == storage::DataType::kString) {
-    const auto& s = std::get<std::string>(value);
-    mix_bytes(s.data(), s.size());
-  } else {
-    const uint64_t bits = storage::EncodeNumeric(value, type);
-    mix_bytes(&bits, sizeof(bits));
+  const auto* p = static_cast<const uint8_t*>(data);
+  for (size_t i = 0; i < len; ++i) {
+    h ^= p[i];
+    h *= 0x100000001B3ull;  // FNV prime
   }
   // splitmix64 finaliser for avalanche.
   h ^= h >> 30;
@@ -29,6 +22,23 @@ uint64_t HashValue(const storage::Value& value, storage::DataType type) {
   h *= 0x94D049BB133111EBull;
   h ^= h >> 31;
   return h;
+}
+
+}  // namespace
+
+uint64_t HashNumericBits(uint64_t bits) {
+  return Fnv1aSplitmix(&bits, sizeof(bits));
+}
+
+uint64_t HashStringBytes(std::string_view text) {
+  return Fnv1aSplitmix(text.data(), text.size());
+}
+
+uint64_t HashValue(const storage::Value& value, storage::DataType type) {
+  if (type == storage::DataType::kString) {
+    return HashStringBytes(std::get<std::string>(value));
+  }
+  return HashNumericBits(storage::EncodeNumeric(value, type));
 }
 
 DeltaIndex::DeltaIndex(nvm::PmemRegion* region, alloc::PAllocator* alloc,

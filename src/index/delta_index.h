@@ -2,6 +2,7 @@
 #define HYRISE_NV_INDEX_DELTA_INDEX_H_
 
 #include <cstdint>
+#include <string_view>
 
 #include "alloc/pvector.h"
 #include "common/status.h"
@@ -13,6 +14,11 @@ namespace hyrise_nv::index {
 /// Stable 64-bit hash of a value, identical across restarts (the hash is
 /// persisted inside index entries). FNV-1a with a splitmix finaliser.
 uint64_t HashValue(const storage::Value& value, storage::DataType type);
+
+/// HashValue over the stored forms: the encoded bits of a numeric value,
+/// or the bytes of a string.
+uint64_t HashNumericBits(uint64_t bits);
+uint64_t HashStringBytes(std::string_view text);
 
 /// One chain node of the persistent delta hash index.
 struct DeltaIndexEntry {
@@ -55,9 +61,14 @@ class DeltaIndex {
   template <typename Fn>
   void ForEachCandidate(uint64_t hash, Fn&& fn) const {
     const uint64_t bucket = hash & (meta_->bucket_count - 1);
-    uint64_t pos = buckets_.Get(bucket);  // 1-based
-    while (pos != 0) {
-      const DeltaIndexEntry& entry = entries_.Get(pos - 1);
+    // Acquire pairs with Insert's head publish: the entry and every older
+    // one on its chain are fully written and under the size loaded next.
+    uint64_t pos = __atomic_load_n(buckets_.data() + bucket,
+                                   __ATOMIC_ACQUIRE);  // 1-based
+    const uint64_t size = entries_.size();
+    const DeltaIndexEntry* entries = entries_.data();
+    while (pos != 0 && pos <= size) {
+      const DeltaIndexEntry& entry = entries[pos - 1];
       if (entry.hash == hash) fn(entry.row);
       pos = entry.next;
     }

@@ -61,10 +61,9 @@ class IndexSet {
     }
     ForEachMainEqual(*bound, column, value, fn);
     if (bound->kind == storage::kIndexSkipList) {
-      bound->skip_list.ForEachEqual(value, [&fn](uint64_t row) {
+      return bound->skip_list.ForEachEqual(value, [&fn](uint64_t row) {
         fn(storage::RowLocation{false, row});
       });
-      return Status::OK();
     }
     const storage::DataType type = table_->schema().column(column).type;
     const auto& delta_col = table_->delta().column(column);
@@ -111,10 +110,9 @@ class IndexSet {
         }
       }
     }
-    bound->skip_list.ForEachInRange(lo, hi, [&fn](uint64_t row) {
+    return bound->skip_list.ForEachInRange(lo, hi, [&fn](uint64_t row) {
       fn(storage::RowLocation{false, row});
     });
-    return Status::OK();
   }
 
   size_t num_indexes() const { return bound_.size(); }

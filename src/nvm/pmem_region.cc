@@ -225,6 +225,13 @@ void PmemRegion::AtomicPersist64(uint64_t* slot, uint64_t value) {
   Persist(slot, sizeof(uint64_t));
 }
 
+void PmemRegion::AtomicPersist32(uint32_t* slot, uint32_t value) {
+  HYRISE_NV_DCHECK(reinterpret_cast<uintptr_t>(slot) % 4 == 0,
+                   "AtomicPersist32 requires 4-byte alignment");
+  __atomic_store_n(slot, value, __ATOMIC_RELEASE);
+  Persist(slot, sizeof(uint32_t));
+}
+
 Status PmemRegion::SimulateCrash() {
   if (options_.tracking != TrackingMode::kShadow) {
     return Status::NotSupported(

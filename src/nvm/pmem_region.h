@@ -97,6 +97,10 @@ class PmemRegion {
   /// aligned stores are power-fail atomic on real persistent memory.
   void AtomicPersist64(uint64_t* slot, uint64_t value);
 
+  /// 4-byte variant of AtomicPersist64 (aligned 4-byte stores are
+  /// power-fail atomic too); publishes 32-bit ids such as hash heads.
+  void AtomicPersist32(uint32_t* slot, uint32_t value);
+
   /// Simulates a power failure: every store that was not flushed-and-fenced
   /// disappears. Only valid in kShadow mode. After this call the working
   /// image equals the durable image and execution may continue (the usual

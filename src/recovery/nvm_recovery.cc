@@ -10,7 +10,7 @@ Result<NvmRestartResult> FinishRestart(NvmRestartResult result,
                                        obs::SpanTracer& tracer) {
   // Phase 2: fixups — allocator intent recovery already ran inside
   // PHeap::Open; complete in-flight commits here. Needs the catalog, so
-  // bind it first (cheap: offsets only, dictionaries later).
+  // bind it first (cheap: descriptor checks only, O(columns)).
   tracer.Begin("fixup");
   tracer.Begin("attach_catalog");
   auto catalog_result = storage::Catalog::Attach(*result.heap);
@@ -30,8 +30,8 @@ Result<NvmRestartResult> FinishRestart(NvmRestartResult result,
   tracer.End();
   result.report.fixup_seconds = tracer.End();
 
-  // Phase 3: volatile repair (torn inserts; dictionary dedup maps were
-  // rebuilt during catalog attach).
+  // Phase 3: torn-insert repair (attribute tails, dictionary head
+  // publishes). O(columns): nothing is rebuilt.
   tracer.Begin("attach");
   tracer.Begin("repair_torn_inserts");
   HYRISE_NV_RETURN_NOT_OK(result.catalog->RepairAfterCrash());

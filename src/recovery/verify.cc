@@ -5,6 +5,7 @@
 #include <set>
 #include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "alloc/pallocator.h"
 #include "alloc/pvector.h"
@@ -505,6 +506,88 @@ void VerifyMainColumn(Ctx& ctx, const PMainColumnMeta& col, DataType type,
   }
 }
 
+/// The delta dictionary's persistent hash: every value id reachable
+/// exactly once, from the bucket its value hashes to. A crashed
+/// (unsealed) image may hold one torn insert — its newest id
+/// unpublished, or a head published for an id the size does not cover
+/// yet — which DeltaDictionary::RepairTornInsert finishes at open.
+void VerifyDictHash(Ctx& ctx, const PDeltaColumnMeta& col, DataType type,
+                    const uint64_t* values, const uint8_t* blob,
+                    const std::string& where) {
+  const uint64_t n = col.dict_values.size;
+  const auto& slot = col.dict_hash.slots[col.dict_hash.version & 1];
+  const auto* table = At<uint32_t>(*ctx.region, slot.data, slot.capacity);
+  if (table == nullptr || slot.capacity == 0) {
+    AddFinding(ctx, "dictionary", FindingSeverity::kTable,
+               where + ": dictionary hash missing");
+    return;
+  }
+  const uint64_t buckets = table[0];
+  if (buckets == 0 || 1 + buckets + n > slot.capacity) {
+    AddFinding(ctx, "dictionary", FindingSeverity::kTable,
+               where + ": dictionary hash header malformed (" +
+                   std::to_string(buckets) + " buckets)");
+    return;
+  }
+  const uint32_t* heads = table + 1;
+  const uint32_t* chain = heads + buckets;
+  auto bucket_of = [&](uint64_t id, uint64_t* bucket) {
+    uint64_t hash;
+    if (type == DataType::kString) {
+      std::string_view text;
+      if (blob == nullptr ||
+          !ReadBlobString(blob, col.dict_blob.size, values[id], &text)) {
+        return false;
+      }
+      hash = index::HashStringBytes(text);
+    } else {
+      hash = index::HashNumericBits(values[id]);
+    }
+    *bucket = storage::DictBucketOf(hash, buckets);
+    return true;
+  };
+  std::vector<bool> reached(n, false);
+  for (uint64_t b = 0; b < buckets; ++b) {
+    uint64_t first = heads[b];
+    if (!ctx.sealed && first == n + 1 && 1 + buckets + n < slot.capacity) {
+      first = chain[n];  // published head whose size bump the crash lost
+    }
+    for (uint64_t id1 = first; id1 != 0; id1 = chain[id1 - 1]) {
+      const uint64_t id = id1 - 1;
+      uint64_t home;
+      std::string problem;
+      if (id >= n) {
+        problem = " links value id " + std::to_string(id) +
+                  " beyond the dictionary (size " + std::to_string(n) + ")";
+      } else if (reached[id]) {
+        problem = " reaches value id " + std::to_string(id) + " twice";
+      } else if (!bucket_of(id, &home) || home != b) {
+        problem = " holds value id " + std::to_string(id) +
+                  " that hashes elsewhere";
+      }
+      if (!problem.empty()) {
+        AddFinding(ctx, "dictionary", FindingSeverity::kTable,
+                   where + ": dictionary hash bucket " + std::to_string(b) +
+                       problem);
+        return;
+      }
+      reached[id] = true;
+    }
+  }
+  for (uint64_t id = 0; id < n; ++id) {
+    if (reached[id]) continue;
+    uint64_t home;
+    const bool torn_publish = !ctx.sealed && id == n - 1 &&
+                              bucket_of(id, &home) &&
+                              heads[home] == chain[id];
+    if (torn_publish) continue;
+    AddFinding(ctx, "dictionary", FindingSeverity::kTable,
+               where + ": dictionary value id " + std::to_string(id) +
+                   " unreachable from its hash bucket");
+    return;
+  }
+}
+
 void VerifyDeltaColumn(Ctx& ctx, const PDeltaColumnMeta& col,
                        DataType type, const PTableGroup& group,
                        uint64_t column) {
@@ -514,11 +597,14 @@ void VerifyDeltaColumn(Ctx& ctx, const PDeltaColumnMeta& col,
       CheckDesc(ctx, col.dict_values, 8, where + " dict values");
   const bool blob_ok =
       CheckDesc(ctx, col.dict_blob, 1, where + " dict blob");
+  const bool hash_ok =
+      CheckDesc(ctx, col.dict_hash, 4, where + " dict hash");
   const bool attr_desc_ok = CheckDesc(ctx, col.attr, 4, where + " attr");
 
-  // Dictionary: unsorted but duplicate-free; strings inside the blob.
+  // Dictionary: unsorted but duplicate-free; strings inside the blob;
+  // every id findable through the hash.
   ++ctx.report->structures_checked;
-  bool dict_ok = values_ok && blob_ok;
+  bool dict_ok = values_ok && blob_ok && hash_ok;
   if (dict_ok && ctx.sealed && col.dict_seal != 0 &&
       col.dict_seal != storage::ComputeDeltaDictSeal(region, col)) {
     AddFinding(ctx, "dictionary", FindingSeverity::kTable,
@@ -530,6 +616,7 @@ void VerifyDeltaColumn(Ctx& ctx, const PDeltaColumnMeta& col,
     const auto* values = reinterpret_cast<const uint64_t*>(
         ContentOf(region, col.dict_values, 8));
     const uint8_t* blob = ContentOf(region, col.dict_blob, 1);
+    const size_t findings_before = ctx.report->findings.size();
     if (values != nullptr) {
       if (type == DataType::kString) {
         std::set<std::string_view> seen;
@@ -560,6 +647,9 @@ void VerifyDeltaColumn(Ctx& ctx, const PDeltaColumnMeta& col,
             break;
           }
         }
+      }
+      if (ctx.report->findings.size() == findings_before) {
+        VerifyDictHash(ctx, col, type, values, blob, where);
       }
     }
   }
@@ -640,19 +730,25 @@ void VerifyIndex(Ctx& ctx, const PIndexMeta& idx, const PTableGroup& group,
     uint64_t off = idx.head_off;
     uint64_t steps = 0;
     const uint64_t max_steps =
-        region.size() / sizeof(storage::PSkipNode) + 1;
+        region.size() / storage::SkipNodeBytes(1) + 1;
     while (off != 0) {
-      const auto* node = At<storage::PSkipNode>(region, off, 1);
-      if (node == nullptr || off < alloc::PAllocator::HeapBegin()) {
-        AddFinding(ctx, "index", FindingSeverity::kTable,
-                   where + ": skip-list node outside the heap at offset " +
-                       std::to_string(off));
-        return;
-      }
-      if (node->height < 1 || node->height > storage::kSkipListMaxHeight) {
+      const auto* node = reinterpret_cast<const storage::PSkipNode*>(
+          At<uint8_t>(region, off, storage::SkipNodeBytes(1)));
+      const bool in_heap =
+          node != nullptr && off >= alloc::PAllocator::HeapBegin();
+      if (in_heap && (node->height < 1 ||
+                      node->height > storage::kSkipListMaxHeight)) {
         AddFinding(ctx, "index", FindingSeverity::kTable,
                    where + ": skip-list node with impossible height " +
                        std::to_string(node->height));
+        return;
+      }
+      if (!in_heap || At<uint8_t>(region, off,
+                                  storage::SkipNodeBytes(node->height)) ==
+                          nullptr) {
+        AddFinding(ctx, "index", FindingSeverity::kTable,
+                   where + ": skip-list node outside the heap at offset " +
+                       std::to_string(off));
         return;
       }
       if (++steps > max_steps) {
@@ -977,6 +1073,7 @@ void SealForCleanShutdown(alloc::PHeap& heap) {
       PDeltaColumnMeta* dcol = group->delta_col(c, ncols);
       SealDesc(&dcol->dict_values);
       SealDesc(&dcol->dict_blob);
+      SealDesc(&dcol->dict_hash);
       SealDesc(&dcol->attr);
       dcol->dict_seal = storage::ComputeDeltaDictSeal(region, *dcol);
       dcol->attr_seal = storage::ComputeDeltaAttrSeal(region, *dcol);

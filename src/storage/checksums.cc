@@ -64,6 +64,7 @@ uint64_t ComputeDeltaDictSeal(const nvm::PmemRegion& region,
                               const PDeltaColumnMeta& col) {
   uint32_t crc = CrcOfVectorContent(region, col.dict_values, 8);
   crc = CrcOfVectorContent(region, col.dict_blob, 1, crc);
+  crc = CrcOfVectorContent(region, col.dict_hash, 4, crc);
   return SealTag(crc);
 }
 

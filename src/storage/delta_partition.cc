@@ -118,6 +118,7 @@ Status DeltaPartition::RepairTornInserts() {
     if (col.attr_size() > rows) {
       col.TruncateAttr(rows);
     }
+    HYRISE_NV_RETURN_NOT_OK(col.dictionary().RepairTornInsert());
   }
   return Status::OK();
 }

@@ -24,7 +24,7 @@ class DeltaColumn {
     DeltaDictionary::Format(region, meta);
   }
 
-  /// Validates and rebuilds volatile dictionary state.
+  /// Validates the persistent state. O(1): nothing is rebuilt.
   Status Attach();
 
   /// Appends `value` for the next row: dictionary insert + attribute
@@ -117,7 +117,8 @@ class DeltaPartition {
   alloc::PVector<MvccEntry>& mvcc_vector() { return mvcc_; }
 
   /// Truncates column attribute vectors that outgrew the MVCC vector
-  /// (crash landed mid-insert). Called by recovery.
+  /// (crash landed mid-insert) and finishes a dictionary insert whose
+  /// bucket-head publish the crash cut off. Called by recovery.
   Status RepairTornInserts();
 
  private:

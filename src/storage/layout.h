@@ -1,6 +1,7 @@
 #ifndef HYRISE_NV_STORAGE_LAYOUT_H_
 #define HYRISE_NV_STORAGE_LAYOUT_H_
 
+#include <cstddef>
 #include <cstdint>
 
 #include "alloc/pvector.h"
@@ -9,12 +10,22 @@
 namespace hyrise_nv::storage {
 
 /// On-NVM metadata of one column's delta partition: unsorted dictionary
-/// (values + string blob) and the unencoded value-id vector.
+/// (values + string blob + value→id hash) and the unencoded value-id
+/// vector.
+///
+/// `dict_hash` is the dictionary's persistent chained hash, one uint32
+/// vector laid out as [bucket_count][heads × bucket_count][chain × ids]:
+/// heads and chain links are 1-based value ids (0 = end), chain[id] links
+/// id to the next-older id of its bucket. Heads and chain share one
+/// buffer so a rehash publishes both with a single slot flip (see
+/// storage/dictionary.h); the chain ends at the vector's size, and the
+/// buffer's capacity bounds it. Empty until the first insert.
 struct PDeltaColumnMeta {
   alloc::PVectorDesc dict_values;  // uint64: numeric bits or blob offsets
   alloc::PVectorDesc dict_blob;    // length-prefixed string payloads
   alloc::PVectorDesc attr;         // uint32 value ids, one per delta row
-  uint64_t dict_seal;  // content seal over dict_values+dict_blob (0 = none)
+  alloc::PVectorDesc dict_hash;    // uint32 hash: count, heads, chain
+  uint64_t dict_seal;  // content seal over the dictionary (0 = none)
   uint64_t attr_seal;  // content seal over attr (0 = none)
 };
 
@@ -49,6 +60,8 @@ constexpr uint32_t kSkipListMaxHeight = 12;
 /// One NVM-resident skip-list node (see index/pskiplist.h for the
 /// operations). `key` holds the encoded numeric value for int64/double
 /// columns, or an offset into the index's key blob for string columns.
+/// A node is allocated only as tall as its tower (SkipNodeBytes): just
+/// next[0..height) exist. Head nodes are full height.
 struct PSkipNode {
   uint64_t key;
   uint64_t row;      // delta row number
@@ -56,6 +69,11 @@ struct PSkipNode {
   uint32_t reserved;
   uint64_t next[kSkipListMaxHeight];  // node offsets; 0 = end
 };
+
+/// Allocated bytes of a skip-list node of `height` levels.
+constexpr uint64_t SkipNodeBytes(uint32_t height) {
+  return offsetof(PSkipNode, next) + uint64_t{height} * sizeof(uint64_t);
+}
 
 /// On-NVM metadata of one secondary index over the delta partition.
 /// kIndexHash: `buckets` holds uint64 heads (1-based positions into

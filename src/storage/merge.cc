@@ -349,6 +349,7 @@ Result<MergeStats> MergeTable(Table& table, Cid snapshot) {
     PDeltaColumnMeta* dcol = old_group->delta_col(c, ncols);
     FreeVectorBuffer(alloc, dcol->dict_values);
     FreeVectorBuffer(alloc, dcol->dict_blob);
+    FreeVectorBuffer(alloc, dcol->dict_hash);
     FreeVectorBuffer(alloc, dcol->attr);
   }
   FreeVectorBuffer(alloc, old_group->main_mvcc);

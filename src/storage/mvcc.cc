@@ -5,18 +5,23 @@
 namespace hyrise_nv::storage {
 
 bool IsVisible(const MvccEntry& entry, Cid snapshot, Tid my_tid) {
-  if (entry.begin == kCidInfinity) {
+  // Atomic loads: committers stamp concurrently (TxnManager::StampWrites
+  // stores begin/end, then releases tid).
+  const Cid begin = __atomic_load_n(&entry.begin, __ATOMIC_ACQUIRE);
+  const Cid end = __atomic_load_n(&entry.end, __ATOMIC_ACQUIRE);
+  const Tid tid = __atomic_load_n(&entry.tid, __ATOMIC_ACQUIRE);
+  if (begin == kCidInfinity) {
     // Uncommitted insert: only the owner sees it, and only while it has
     // not self-deleted it (end stays ∞ until then).
-    if (my_tid == kTidNone || entry.tid != my_tid) return false;
-    return entry.end == kCidInfinity;
+    if (my_tid == kTidNone || tid != my_tid) return false;
+    return end == kCidInfinity;
   }
-  if (entry.begin > snapshot) return false;  // committed after snapshot
-  if (my_tid != kTidNone && entry.tid == my_tid) {
+  if (begin > snapshot) return false;  // committed after snapshot
+  if (my_tid != kTidNone && tid == my_tid) {
     // We claimed this committed row for invalidation.
     return false;
   }
-  if (entry.end != kCidInfinity && entry.end <= snapshot) {
+  if (end != kCidInfinity && end <= snapshot) {
     return false;  // deleted at or before snapshot
   }
   return true;

@@ -44,6 +44,13 @@ Status ClaimForInvalidate(nvm::PmemRegion& region, MvccEntry* entry,
                                    __ATOMIC_ACQ_REL, __ATOMIC_ACQUIRE)) {
     return Status::TransactionConflict("row claim raced");
   }
+  // The claim may have been stolen from a transaction that committed its
+  // delete: its end stamp precedes its tid release, so the acquire CAS
+  // above makes that stamp visible here.
+  if (__atomic_load_n(&entry->end, __ATOMIC_ACQUIRE) != kCidInfinity) {
+    __atomic_store_n(&entry->tid, current, __ATOMIC_RELEASE);
+    return Status::TransactionConflict("row already deleted");
+  }
   region.Persist(&entry->tid, sizeof(entry->tid));
   return Status::OK();
 }

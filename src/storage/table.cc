@@ -130,15 +130,25 @@ Result<RowLocation> Table::AppendRow(const std::vector<Value>& row,
 
 Value Table::GetValue(RowLocation loc, size_t column) const {
   HYRISE_NV_DCHECK(column < schema_.num_columns(), "column out of range");
-  return loc.in_main ? main_.column(column).GetValue(loc.row)
-                     : delta_.column(column).GetValue(loc.row);
+  // Main vectors never grow; delta ones may move under a concurrent
+  // append, so delta reads pin the reader epoch.
+  if (loc.in_main) return main_.column(column).GetValue(loc.row);
+  alloc::ReaderEpochs::Guard guard(reader_epochs());
+  return delta_.column(column).GetValue(loc.row);
 }
 
 std::vector<Value> Table::GetRow(RowLocation loc) const {
   std::vector<Value> row;
   row.reserve(schema_.num_columns());
+  if (loc.in_main) {
+    for (size_t c = 0; c < schema_.num_columns(); ++c) {
+      row.push_back(main_.column(c).GetValue(loc.row));
+    }
+    return row;
+  }
+  alloc::ReaderEpochs::Guard guard(reader_epochs());
   for (size_t c = 0; c < schema_.num_columns(); ++c) {
-    row.push_back(GetValue(loc, c));
+    row.push_back(delta_.column(c).GetValue(loc.row));
   }
   return row;
 }

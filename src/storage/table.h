@@ -25,9 +25,12 @@ namespace hyrise_nv::storage {
 /// NVM. Attach() rebinds after restart. Thread safety: concurrent readers
 /// and a single writer per table at a time — writers from different
 /// threads serialise on write_mutex() (Database::Insert holds it across
-/// the delta append, index maintenance, and WAL logging); scans are safe
-/// against concurrent appends because row visibility gates on the MVCC
-/// vector, which grows strictly after row payloads are in place.
+/// the delta append, index maintenance, and WAL logging; MVCC stamps and
+/// claims take it too, because appends may move the MVCC buffer); scans
+/// are safe against concurrent appends because row visibility gates on
+/// the MVCC vector, which grows strictly after row payloads are in place,
+/// and because buffers replaced by a growth outlive every reader that
+/// pinned reader_epochs() before the swap.
 class Table {
  public:
   /// Allocates and formats a fresh table (meta + group + schema blob) on
@@ -96,6 +99,7 @@ class Table {
   /// main-then-delta order.
   template <typename Fn>
   void ForEachVisibleRow(Cid snapshot, Tid tid, Fn&& fn) const {
+    alloc::ReaderEpochs::Guard guard(reader_epochs());
     const uint64_t main_rows = main_.row_count();
     for (uint64_t r = 0; r < main_rows; ++r) {
       if (IsVisible(*main_.mvcc(r), snapshot, tid)) {
@@ -113,8 +117,8 @@ class Table {
   /// Number of rows visible to (snapshot, tid).
   uint64_t CountVisible(Cid snapshot, Tid tid) const;
 
-  /// Post-crash repair: truncates torn inserts. Dictionary dedup maps are
-  /// rebuilt by Attach. Cost is O(delta columns), not O(data).
+  /// Post-crash repair: truncates torn inserts and finishes torn
+  /// dictionary publishes. Cost is O(delta columns), not O(data).
   Status RepairAfterCrash() { return delta_.RepairTornInserts(); }
 
   /// Rebinds the handle to the current group (after a merge swap).
@@ -124,6 +128,12 @@ class Table {
   /// maintenance + dictionary-encoded logging share the structures this
   /// guards). Volatile — never part of the NVM image.
   std::mutex& write_mutex() { return write_mutex_; }
+
+  /// Readers that race writers (scans, cell reads) pin these while they
+  /// dereference this table's vectors; see alloc::ReaderEpochs.
+  alloc::ReaderEpochs& reader_epochs() const {
+    return heap_->allocator().reader_epochs();
+  }
 
  private:
   Table(alloc::PHeap& heap, uint64_t meta_offset)

@@ -108,7 +108,11 @@ class CommitTable {
 
   HYRISE_NV_DISALLOW_COPY_AND_MOVE(CommitTable);
 
-  storage::Cid watermark() const { return block_->commit_watermark; }
+  /// Acquire: pairs with AdvanceWatermark's release publish, so a
+  /// snapshot taken here sees every stamp of the CIDs it covers.
+  storage::Cid watermark() const {
+    return __atomic_load_n(&block_->commit_watermark, __ATOMIC_ACQUIRE);
+  }
 
   /// Publishes `cid` as fully committed (single atomic persist). Callers
   /// must externally order their advances (OrderedPublisher / recovery).

@@ -1,5 +1,6 @@
 #include "txn/txn_manager.h"
 
+#include <mutex>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -99,6 +100,29 @@ size_t TxnManager::AbortAllActive() {
   return aborted;
 }
 
+namespace {
+
+/// Runs `fn(write, entry)` for every write with its table's write mutex
+/// held. MVCC vectors grow under that mutex (Table::AppendRow copies the
+/// buffer), so a stamp or claim release written outside it could land in
+/// the old buffer after the copy and be lost. Consecutive writes to one
+/// table share a hold; at most one mutex is held at a time.
+template <typename Fn>
+void ForEachWriteLocked(const std::vector<Write>& writes, Fn&& fn) {
+  std::unique_lock<std::mutex> lock;
+  const storage::Table* locked = nullptr;
+  for (const Write& write : writes) {
+    if (write.table != locked) {
+      if (lock.owns_lock()) lock.unlock();
+      lock = std::unique_lock<std::mutex>(write.table->write_mutex());
+      locked = write.table;
+    }
+    fn(write, write.table->mvcc(write.loc));
+  }
+}
+
+}  // namespace
+
 void TxnManager::StampWrites(const std::vector<Write>& writes,
                              storage::Cid cid) {
   // CLWB batching: flush every stamped entry, then a single fence. The
@@ -107,8 +131,8 @@ void TxnManager::StampWrites(const std::vector<Write>& writes,
   // before the watermark covers cid" matters, which the fence plus the
   // publish queue guarantee.
   auto& region = heap_->region();
-  for (const Write& write : writes) {
-    storage::MvccEntry* entry = write.table->mvcc(write.loc);
+  ForEachWriteLocked(writes, [&](const Write& write,
+                                 storage::MvccEntry* entry) {
     if (write.invalidate) {
       __atomic_store_n(&entry->end, cid, __ATOMIC_RELEASE);
     } else {
@@ -116,8 +140,27 @@ void TxnManager::StampWrites(const std::vector<Write>& writes,
     }
     __atomic_store_n(&entry->tid, storage::kTidNone, __ATOMIC_RELEASE);
     region.Flush(entry, sizeof(*entry));
-  }
+  });
   region.Fence();
+}
+
+void TxnManager::ReleaseWrites(const std::vector<Write>& writes,
+                               storage::Tid tid) {
+  auto& region = heap_->region();
+  ForEachWriteLocked(writes, [&](const Write& write,
+                                 storage::MvccEntry* entry) {
+    if (write.invalidate) {
+      // Release the delete claim; any self-delete marker on an own insert
+      // stays (the insert itself is dropped below).
+      if (entry->begin != storage::kCidInfinity) {
+        storage::ReleaseClaim(region, entry, tid);
+      }
+    } else {
+      // Own insert: stays begin = ∞ forever (invisible garbage retired at
+      // merge); release the tid so nothing mistakes it for in-flight.
+      region.AtomicPersist64(&entry->tid, storage::kTidNone);
+    }
+  });
 }
 
 Result<storage::Cid> TxnManager::AllocCid() {
@@ -361,21 +404,7 @@ Status TxnManager::Abort(Transaction& tx) {
   if (!tx.active()) {
     return Status::InvalidArgument("abort of non-active transaction");
   }
-  auto& region = heap_->region();
-  for (const Write& write : tx.writes()) {
-    storage::MvccEntry* entry = write.table->mvcc(write.loc);
-    if (write.invalidate) {
-      // Release the delete claim; any self-delete marker on an own insert
-      // stays (the insert itself is dropped below).
-      if (entry->begin != storage::kCidInfinity) {
-        storage::ReleaseClaim(region, entry, tx.tid());
-      }
-    } else {
-      // Own insert: stays begin = ∞ forever (invisible garbage retired at
-      // merge); release the tid so nothing mistakes it for in-flight.
-      region.AtomicPersist64(&entry->tid, storage::kTidNone);
-    }
-  }
+  ReleaseWrites(tx.writes(), tx.tid());
   if (hook_ != nullptr) {
     HYRISE_NV_RETURN_NOT_OK(hook_->OnAbort(tx));
   }
@@ -577,17 +606,7 @@ Status TxnManager::DecideCommit(Transaction& tx) {
 }
 
 Status TxnManager::DecideAbort(Transaction& tx) {
-  auto& region = heap_->region();
-  for (const Write& write : tx.writes()) {
-    storage::MvccEntry* entry = write.table->mvcc(write.loc);
-    if (write.invalidate) {
-      if (entry->begin != storage::kCidInfinity) {
-        storage::ReleaseClaim(region, entry, tx.tid());
-      }
-    } else {
-      region.AtomicPersist64(&entry->tid, storage::kTidNone);
-    }
-  }
+  ReleaseWrites(tx.writes(), tx.tid());
   if (hook_ != nullptr) {
     HYRISE_NV_RETURN_NOT_OK(hook_->OnAbort(tx));
   }

@@ -225,6 +225,8 @@ class TxnManager {
  private:
   // Stamps all writes of a commit with `cid` and clears claims.
   void StampWrites(const std::vector<Write>& writes, storage::Cid cid);
+  /// Abort side of StampWrites: releases claims and own inserts.
+  void ReleaseWrites(const std::vector<Write>& writes, storage::Tid tid);
 
   // Draws one CID from the lock-free allocator, priming the ordered
   // publisher with the first block, and retiring any CID abandoned by a

@@ -211,6 +211,9 @@ Status DeserializeTable(ByteReader& r, alloc::PHeap& heap,
     HYRISE_NV_RETURN_NOT_OK(ReadPVector(r, dict));
     HYRISE_NV_RETURN_NOT_OK(ReadPVector(r, blob));
     HYRISE_NV_RETURN_NOT_OK(ReadPVector(r, attr));
+    // The checkpoint carries values and blob only; the hash is derived.
+    HYRISE_NV_RETURN_NOT_OK(
+        table->delta().column(c).dictionary().RebuildHash());
   }
   {
     alloc::PVector<storage::MvccEntry> mvcc(&region, &alloc,

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <thread>
+#include <vector>
 
 #include "core/database.h"
 #include "core/query.h"
@@ -125,6 +126,61 @@ TEST(ConcurrencyTest, ContendedDeleteOnlyOneWins) {
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(winners.load(), 1) << "exactly one delete may commit";
   EXPECT_EQ(CountRows(table, db->ReadSnapshot(), storage::kTidNone), 0u);
+}
+
+// Lost-update oracle for the claim protocol: every committed update of
+// one row must have read the version it replaced. A claim stolen from a
+// transaction that already committed its delete would let two updates of
+// the same version both commit, leaving two live versions.
+TEST(ConcurrencyTest, ContendedUpdatesNeverFork) {
+  auto db = MakeDb();
+  auto schema = *storage::Schema::Make(
+      {{"k", DataType::kInt64}, {"n", DataType::kInt64}});
+  storage::Table* table = *db->CreateTable("counter", schema);
+  ASSERT_TRUE(db->CreateIndex("counter", 0).ok());
+  ASSERT_TRUE(
+      db->InsertAutoCommit(table, {Value(int64_t{1}), Value(int64_t{0})})
+          .ok());
+
+  constexpr int kThreads = 4;
+  constexpr int kAttempts = 400;
+  std::atomic<int64_t> commits{0};
+  std::atomic<int> forks{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&]() {
+      for (int a = 0; a < kAttempts; ++a) {
+        auto tx = *db->Begin();
+        auto rows = db->ScanEqual(table, 0, Value(int64_t{1}),
+                                  tx.snapshot(), tx.tid());
+        if (!rows.ok() || rows->size() != 1) {
+          ++forks;
+          (void)db->Abort(tx);
+          continue;
+        }
+        const int64_t n =
+            std::get<int64_t>(table->GetValue((*rows)[0], 1));
+        auto updated = db->Update(tx, table, (*rows)[0],
+                                  {Value(int64_t{1}), Value(n + 1)});
+        if (!updated.ok()) {
+          (void)db->Abort(tx);
+          continue;
+        }
+        if (db->Commit(tx).ok()) ++commits;
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  auto rows = db->ScanEqual(table, 0, Value(int64_t{1}), db->ReadSnapshot(),
+                            storage::kTidNone);
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->size(), 1u) << "exactly one live version";
+  EXPECT_EQ(std::get<int64_t>(table->GetValue((*rows)[0], 1)),
+            commits.load())
+      << "every successful commit updated the latest version";
+  EXPECT_EQ(forks.load(), 0) << "a snapshot saw the row forked";
+  EXPECT_GT(commits.load(), 0);
 }
 
 TEST(ConcurrencyTest, ParallelTidsAreUnique) {

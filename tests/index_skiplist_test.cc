@@ -11,6 +11,7 @@
 #include "core/database.h"
 #include "core/query.h"
 #include "index/index_set.h"
+#include "recovery/verify.h"
 #include "storage/catalog.h"
 #include "storage/merge.h"
 
@@ -152,6 +153,32 @@ TEST_F(SkipListTest, CrashMidInsertLosesOnlyThatEntry) {
   EXPECT_EQ(fresh.entry_count(), 50u) << "torn insert must not appear";
 }
 
+TEST_F(SkipListTest, CorruptLinkEndsWalksWithCorruption) {
+  auto list = MakeList(DataType::kInt64);
+  for (int64_t k = 0; k < 30; ++k) {
+    ASSERT_TRUE(list.Insert(Value(k), static_cast<uint64_t>(k)).ok());
+  }
+  // Point the 10th node's level-0 link past the end of the region.
+  auto& region = heap_->region();
+  auto* node = heap_->Resolve<storage::PSkipNode>(meta_->head_off);
+  for (int i = 0; i < 10; ++i) {
+    node = heap_->Resolve<storage::PSkipNode>(node->next[0]);
+  }
+  region.AtomicPersist64(&node->next[0], region.size() + 4096);
+
+  PSkipList fresh(DataType::kInt64, heap_.get(), meta_);
+  ASSERT_TRUE(fresh.Attach().ok()) << "attach no longer walks the list";
+  std::vector<uint64_t> rows;
+  const Status scan = fresh.ForEachInRange(
+      Value(int64_t{0}), Value(int64_t{29}),
+      [&](uint64_t row) { rows.push_back(row); });
+  EXPECT_TRUE(scan.IsCorruption());
+  EXPECT_EQ(rows.size(), 10u) << "rows before the bad link are returned";
+  // Key 10's level-0 search must cross the bad link after key 9.
+  EXPECT_TRUE(fresh.Insert(Value(int64_t{10}), 100).IsCorruption());
+  EXPECT_EQ(fresh.entry_count(), 10u);
+}
+
 // Engine-level: ordered index drives range scans across main and delta,
 // survives merge and crash.
 TEST(OrderedIndexEngineTest, RangeScanViaOrderedIndex) {
@@ -201,6 +228,41 @@ TEST(OrderedIndexEngineTest, RangeScanViaOrderedIndex) {
                                recovered->indexes(rtable));
   ASSERT_TRUE(rrows.ok());
   EXPECT_EQ(rrows->size(), 20u);
+}
+
+TEST(OrderedIndexEngineTest, FastOpenSurvivesCorruptLinkDeepVerifyFindsIt) {
+  core::DatabaseOptions options;
+  options.mode = core::DurabilityMode::kNvm;
+  options.region_size = 64 << 20;
+  options.tracking = nvm::TrackingMode::kShadow;
+  auto db = std::move(core::Database::Create(options)).ValueUnsafe();
+  auto schema = *storage::Schema::Make({{"k", DataType::kInt64}});
+  storage::Table* table = *db->CreateTable("kv", schema);
+  ASSERT_TRUE(db->CreateOrderedIndex("kv", 0).ok());
+  for (int64_t k = 0; k < 50; ++k) {
+    ASSERT_TRUE(db->InsertAutoCommit(table, {Value(k)}).ok());
+  }
+  const storage::PIndexMeta* idx = nullptr;
+  for (const auto& slot : table->group()->indexes) {
+    if (slot.state == 1) idx = &slot;
+  }
+  ASSERT_NE(idx, nullptr);
+  auto& region = db->heap().region();
+  auto* node = db->heap().Resolve<storage::PSkipNode>(idx->head_off);
+  for (int i = 0; i < 20; ++i) {
+    node = db->heap().Resolve<storage::PSkipNode>(node->next[0]);
+  }
+  region.AtomicPersist64(&node->next[0], region.size() + 4096);
+
+  auto recovered = core::Database::CrashAndRecover(std::move(db));
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  db = std::move(recovered).ValueUnsafe();
+  table = *db->GetTable("kv");
+  auto rows = db->ScanRange(table, 0, Value(int64_t{0}), Value(int64_t{49}),
+                            db->ReadSnapshot(), storage::kTidNone);
+  EXPECT_TRUE(rows.status().IsCorruption());
+  const auto report = recovery::DeepVerify(db->heap().region());
+  EXPECT_TRUE(report.HasStructure("index")) << report.Summary();
 }
 
 TEST(OrderedIndexEngineTest, WalRecoveryRebuildsOrderedIndex) {

@@ -223,8 +223,8 @@ TEST_F(TxnConcurrencyTest, ReadOnlyCommitsAreCounted) {
 #else
   auto db = MakeDb();
   const auto count = [&] {
-    const auto* c =
-        db->MetricsSnapshot().FindCounter("txn.commit.count");
+    const auto snapshot = db->MetricsSnapshot();
+    const auto* c = snapshot.FindCounter("txn.commit.count");
     return c != nullptr ? c->value : 0;
   };
   const uint64_t before = count();
